@@ -33,7 +33,8 @@ class ToolqaError(Exception):
 # -- tabular -----------------------------------------------------------------
 
 class MalformedInput(ToolqaError):
-    """Serialized table text is not a well-formed table object."""
+    """Serialized table text is not a well-formed table object, or a numeral
+    is past the interpreter's integer-string digit limit."""
 
 
 class RaggedRow(ToolqaError):

@@ -20,7 +20,7 @@ from .errors import LengthMismatch, ToolqaError
 from .numfmt import format_number, strip_grouping
 from .pipeline import DispatchOutcome
 from .sql_engine import run_script
-from .tabular import render_table
+from .tabular import render_table  # noqa: F401 -- unused; perfbench/spans.py rebinds it by name
 from .templates import Record, TemplateKind, direct_kind, gold_template
 
 RELATIVE_TOLERANCE = Fraction(1, 10**6)
@@ -73,12 +73,17 @@ def _canonical_part(raw: str) -> CanonicalPart | None:
         return None
     m = _NUMERIC_PART_RE.match(s)
     if m is not None:
-        value = Fraction(m.group("num"))
-        if m.group("scale"):
-            value *= _SCALE_WORDS[m.group("scale")]
+        try:
+            value = Fraction(m.group("num"))
+            if m.group("scale"):
+                value *= _SCALE_WORDS[m.group("scale")]
+            canonical = format_number(value)
+        except ValueError:
+            # Past the interpreter's integer-string digit limit: compare as text.
+            return CanonicalPart(text=s)
         percent = m.group("pct") is not None
-        canonical = format_number(value) + ("%" if percent else "")
-        return CanonicalPart(text=canonical, value=value, percent=percent)
+        return CanonicalPart(text=canonical + ("%" if percent else ""),
+                             value=value, percent=percent)
     return CanonicalPart(text=s)
 
 
@@ -188,7 +193,7 @@ def gold_answer(r: Record) -> str | None:
     try:
         kind = gold_template(r)
         if kind is TemplateKind.SCRIPT and r.data is not None:
-            return run_script(r.derivation, render_table(r.data))
+            return run_script(r.derivation, r.data)
         if kind is TemplateKind.ARITHMETIC:
             return calc(r.derivation)
     except ToolqaError:

@@ -14,16 +14,9 @@ from fractions import Fraction
 
 MAX_FRAC_DIGITS = 10
 
-# Plain decimal numeral, no thousands separators.
-_DECIMAL_RE = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)\Z")
-
 # Comma used as a 3-digit grouping separator inside a numeral.
 _GROUPED_RE = re.compile(r"[+-]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?\Z")
 _GROUP_COMMA_RE = re.compile(r"(?<=\d),(?=\d{3}(?!\d))")
-
-
-def is_plain_decimal(text: str) -> bool:
-    return _DECIMAL_RE.match(text) is not None
 
 
 def is_grouped_decimal(text: str) -> bool:
@@ -34,13 +27,6 @@ def is_grouped_decimal(text: str) -> bool:
 def strip_grouping(text: str) -> str:
     """Remove commas acting as 3-digit grouping separators."""
     return _GROUP_COMMA_RE.sub("", text)
-
-
-def parse_decimal(text: str) -> Fraction:
-    """Parse a plain decimal numeral into an exact Fraction."""
-    if not is_plain_decimal(text):
-        raise ValueError(f"not a plain decimal numeral: {text!r}")
-    return Fraction(text)
 
 
 def _trim(digits: str) -> str:

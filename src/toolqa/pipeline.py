@@ -11,6 +11,7 @@ structured data).
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .lm_backend import GenerationRequest
 from .sql_engine import run_script
-from .tabular import render_table
+from .tabular import render_table  # noqa: F401 -- unused; perfbench/spans.py rebinds it by name
 from .templates import (
     Record,
     TemplateKind,
@@ -46,6 +47,8 @@ TOOL_ERRORS = (
     ParseError, DivisionByZero, UnsupportedStatement, UnknownColumn,
     TypeMismatch, NoRows, MalformedInput, RaggedRow, MissingAttribute,
 )
+
+_log = logging.getLogger(__name__)
 
 _DIRECT_KINDS = (TemplateKind.CLASSIFICATION, TemplateKind.INFORMATION_EXTRACTION)
 
@@ -148,7 +151,7 @@ def solve(r: Record, kind: TemplateKind, backend,
         if kind is TemplateKind.ARITHMETIC:
             result = calc(tool_input)
         else:
-            result = run_script(tool_input, render_table(r.data))
+            result = run_script(tool_input, r.data)
     except TOOL_ERRORS as exc:
         outcome.error = _error_tag(exc)
         return outcome
@@ -204,7 +207,9 @@ def run_batch(records: list[Record], backend,
     """One outcome per record, in input order.
 
     At most max_in_flight generations run concurrently; a failing record
-    yields an error-carrying outcome and never aborts the batch.
+    yields an error-carrying outcome and never aborts the batch. An
+    unexpected exception is tagged ``internal:<Type>``; KeyboardInterrupt
+    and SystemExit still propagate.
     """
     answer = answer_with_backoff if config.backoff_enabled else answer_once
 
@@ -213,6 +218,11 @@ def run_batch(records: list[Record], backend,
             return answer(r, backend, config)
         except (TransportError, MissingFixtureEntry) as exc:
             return DispatchOutcome(route=direct_kind(r), error=_error_tag(exc))
+        except Exception as exc:
+            # A model's output is untrusted; whatever it breaks stays with its record.
+            _log.debug("record failed internally", exc_info=True)
+            return DispatchOutcome(route=direct_kind(r),
+                                   error=f"internal:{type(exc).__name__}: {exc}")
 
     if config.max_in_flight == 1:
         return [run_one(r) for r in records]

@@ -13,11 +13,13 @@ nested queries, ...) raises UnsupportedStatement; garbage raises ParseError.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    MalformedInput,
     NoRows,
     ParseError,
     ToolqaError,
@@ -86,7 +88,10 @@ class QueryResult:
 
     def render(self) -> str:
         if self.kind == "number":
-            return format_number(self.number)
+            try:
+                return format_number(self.number)
+            except ValueError as exc:  # past the integer-string digit limit
+                raise MalformedInput(f"result too long to render: {exc}") from exc
         if self.kind == "text":
             return self.text
         return ", ".join(self.values)
@@ -289,24 +294,35 @@ def parse_sql(text: str) -> Query:
 
 # -- execution ----------------------------------------------------------------
 
-def _row_matches(row, table: Table, pred: Predicate) -> bool:
-    idx = table.column_index(pred.column)
-    cell = row[idx]
-    cell_num = coerce_numeric(cell)
-    lit_num = coerce_numeric(pred.literal)
-    if cell_num is not None and lit_num is not None:
-        if pred.op == "=":
-            return cell_num == lit_num
-        if pred.op == "<":
-            return cell_num < lit_num
-        return cell_num > lit_num
+_COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt}
+
+
+def _filter_rows(t: Table, keep: list[int], idx: int, pred: Predicate) -> list[int]:
+    """Indices in keep whose cell in column idx satisfies the predicate.
+
+    Cell and literal compare as numbers when both read as numerals, else as
+    text; the literal is read and case-folded once per query.
+    """
+    rows, nums = t.rows, t.numeric_columns[idx]
+    literal = pred.literal
+    lit_num = coerce_numeric(literal)
+    compare = _COMPARE[pred.op]
     if pred.op == "=":
         # String equality always folds case: the corpora wrap both sides in
         # LOWER, and model output occasionally drops one wrapper.
-        return cell.strip().casefold() == pred.literal.strip().casefold()
-    if pred.op == "<":
-        return cell < pred.literal
-    return cell > pred.literal
+        folded = literal.strip().casefold()
+
+        def text_match(cell: str) -> bool:
+            return cell.strip().casefold() == folded
+    else:
+        def text_match(cell: str) -> bool:
+            return compare(cell, literal)
+
+    if lit_num is None:
+        return [i for i in keep if text_match(rows[i][idx])]
+    return [i for i in keep
+            if (compare(nums[i], lit_num) if nums[i] is not None
+                else text_match(rows[i][idx]))]
 
 
 def execute_query(q: Query, t: Table) -> QueryResult:
@@ -314,27 +330,31 @@ def execute_query(q: Query, t: Table) -> QueryResult:
     proj_idx = t.column_index(q.projection)
     if proj_idx is None:
         raise UnknownColumn(f"no column named {q.projection!r}")
+    pred_idx = []
     for pred in q.predicates:
-        if t.column_index(pred.column) is None:
+        idx = t.column_index(pred.column)
+        if idx is None:
             raise UnknownColumn(f"no column named {pred.column!r}")
+        pred_idx.append(idx)
 
-    surviving = [row for row in t.rows
-                 if all(_row_matches(row, t, p) for p in q.predicates)]
+    keep = list(range(t.n_rows))
+    for pred, idx in zip(q.predicates, pred_idx):
+        keep = _filter_rows(t, keep, idx, pred)
 
     if q.aggregate is None:
-        return QueryResult.text_list(row[proj_idx] for row in surviving)
+        return QueryResult.text_list(t.rows[i][proj_idx] for i in keep)
     if q.aggregate == "COUNT":
-        return QueryResult.scalar_number(len(surviving))
-    if not surviving:
+        return QueryResult.scalar_number(len(keep))
+    if not keep:
         raise NoRows(f"{q.aggregate} over zero surviving rows")
 
     col_type = t.col_types[proj_idx]
     if q.aggregate in NUMERIC_AGGREGATES and col_type != REAL:
         raise TypeMismatch(f"{q.aggregate} needs a real column, {q.projection!r} is text")
 
-    cells = [row[proj_idx] for row in surviving]
     if col_type == REAL:
-        values = [v for v in (coerce_numeric(c) for c in cells) if v is not None]
+        nums = t.numeric_columns[proj_idx]
+        values = [nums[i] for i in keep if nums[i] is not None]
         if not values:
             raise NoRows(f"{q.aggregate} found no numeric cells in {q.projection!r}")
         if q.aggregate == "SUM":
@@ -346,29 +366,31 @@ def execute_query(q: Query, t: Table) -> QueryResult:
         return QueryResult.scalar_number(max(values))
 
     # MIN/MAX over a text column compare lexicographically.
+    cells = [t.rows[i][proj_idx] for i in keep]
     if q.aggregate == "MIN":
         return QueryResult.scalar_text(min(cells))
     return QueryResult.scalar_text(max(cells))
 
 
-def run_script(script: str, table_text: str) -> str:
-    """Tool API surface: SQL script + serialized table in, answer text out.
+def run_script(script: str, table: Table | str) -> str:
+    """Tool API surface: SQL script + table in, answer text out.
 
+    A serialized table (the CLI and file boundary) is parsed first.
     Errors from the three stages propagate tagged with the failing stage.
     """
-    try:
-        table = parse_table(table_text)
-    except ToolqaError as exc:
-        exc.stage = "table"
-        raise
+    if isinstance(table, str):
+        try:
+            table = parse_table(table)
+        except ToolqaError as exc:
+            exc.stage = "table"
+            raise
     try:
         query = parse_sql(script)
     except ToolqaError as exc:
         exc.stage = "sql"
         raise
     try:
-        result = execute_query(query, table)
+        return execute_query(query, table).render()
     except ToolqaError as exc:
         exc.stage = "execute"
         raise
-    return result.render()

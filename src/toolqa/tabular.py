@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import MalformedInput, RaggedRow
 from .numfmt import format_number, is_grouped_decimal, strip_grouping
@@ -24,7 +25,12 @@ _CURRENCY = ("$", "€", "£")
 
 @dataclass(frozen=True)
 class Table:
-    """Immutable table: header, string cells, per-column types."""
+    """Immutable table: header, string cells, per-column types.
+
+    The serialized text and the numeric view of the cells are computed on
+    first use and kept on the instance; equality and hashing compare the
+    fields only.
+    """
 
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
@@ -64,6 +70,16 @@ class Table:
     def column(self, index: int) -> list[str]:
         return [row[index] for row in self.rows]
 
+    @cached_property
+    def serialized(self) -> str:
+        """Canonical single-line serialized form; parse_table round-trips it."""
+        return json.dumps(table_to_obj(self), ensure_ascii=False)
+
+    @cached_property
+    def numeric_columns(self) -> tuple[tuple[int | Fraction | None, ...], ...]:
+        """Per column, every cell read by coerce_numeric (None: no numeral)."""
+        return tuple(tuple(map(coerce_numeric, self.column(i))) for i in range(self.n_cols))
+
 
 def coerce_numeric(cell: str) -> int | Fraction | None:
     """Read a cell as a number, or None when no numeral remains.
@@ -71,7 +87,8 @@ def coerce_numeric(cell: str) -> int | Fraction | None:
     Strips surrounding whitespace, valid 3-digit thousands separators and a
     single leading currency symbol. A fully parenthesized numeral is negated
     (accounting convention). Integral values come back as int, everything
-    else as an exact Fraction.
+    else as an exact Fraction. A numeral past the interpreter's limit on
+    integer-string conversion raises MalformedInput.
     """
     s = cell.strip()
     negate = False
@@ -82,7 +99,10 @@ def coerce_numeric(cell: str) -> int | Fraction | None:
         s = s[1:].lstrip()
     if not s or not is_grouped_decimal(s):
         return None
-    value = Fraction(strip_grouping(s))
+    try:
+        value = Fraction(strip_grouping(s))
+    except ValueError as exc:
+        raise MalformedInput(f"numeral of {len(s)} characters: {exc}") from exc
     if negate:
         value = -value
     if value.denominator == 1:
@@ -168,5 +188,5 @@ def table_to_obj(t: Table) -> dict:
 
 
 def render_table(t: Table) -> str:
-    """Canonical single-line serialized form; parse_table round-trips it."""
-    return json.dumps(table_to_obj(t), ensure_ascii=False)
+    """The table's canonical serialized form (``Table.serialized``)."""
+    return t.serialized

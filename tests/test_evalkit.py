@@ -89,6 +89,10 @@ class TestExactMatch:
     def test_rejects(self, pred, gold):
         assert not exact_match(pred, gold)
 
+    def test_numerals_past_digit_limit(self):
+        assert exact_match("1" * 5000, "1") is False
+        assert exact_match("1" * 5000, "1" * 5000) is True
+
     def test_quotient_rounded_to_gold_precision(self):
         assert exact_match(calc(VESTING_RECORD.derivation), VESTING_RECORD.response)
 

@@ -11,7 +11,7 @@ from toolqa.pipeline import (
     run_batch,
     solve,
 )
-from toolqa.templates import Record, TemplateKind, gold_template, render_prompt
+from toolqa.templates import Record, TemplateKind, direct_kind, gold_template, render_prompt
 
 from sample_data import (
     ALL_SAMPLE_RECORDS,
@@ -135,6 +135,17 @@ class TestAnswerWithBackoff:
         assert outcome.final_answer == "5000"
         assert "ParseError" in outcome.error
 
+    def test_sql_numeral_past_digit_limit_falls_back(self):
+        backend = _fixture_with(
+            EchoGoldBackend([VENUE_RECORD]),
+            {_solver_prompt(VENUE_RECORD):
+                "SELECT COUNT([Crowd]) FROM data_table WHERE [Crowd] > " + "1" * 5000,
+             _solver_prompt(VENUE_RECORD, TemplateKind.INFORMATION_EXTRACTION): "5000"})
+        outcome = answer_with_backoff(VENUE_RECORD, backend)
+        assert outcome.used_backoff is True
+        assert outcome.final_answer == "5000"
+        assert outcome.error.startswith("execute:MalformedInput: ")
+
     def test_routing_failure_falls_back(self):
         backend = _fixture_with(
             EchoGoldBackend([TAX_RECORD]),
@@ -189,6 +200,29 @@ class TestRunBatch:
         assert "MissingFixtureEntry" in outcomes[1].error
         assert outcomes[1].final_answer is None
         assert outcomes[2].error is None
+
+    def test_unexpected_exception_isolated(self):
+        records = [EPS_RECORD, VENUE_RECORD, HEDGE_RECORD, TAX_RECORD]
+        clean = run_batch(records, EchoGoldBackend(records))
+        backend = _fixture_with(EchoGoldBackend(records), {
+            _solver_prompt(EPS_RECORD): "-" * 3000 + "1",   # RecursionError in calc
+            _solver_prompt(HEDGE_RECORD): "1" * 5000,       # ValueError: digit limit
+        })
+        outcomes = run_batch(records, backend)
+        assert outcomes[1] == clean[1]
+        assert outcomes[3] == clean[3]
+        for i, name in ((0, "RecursionError"), (2, "ValueError")):
+            assert outcomes[i].route is direct_kind(records[i])
+            assert outcomes[i].error.startswith(f"internal:{name}: ")
+            assert outcomes[i].final_answer is None
+
+    def test_keyboard_interrupt_propagates(self):
+        class Interrupted(ReplayBackend):
+            def generate(self, req):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_batch([EPS_RECORD], Interrupted(ReplayFixture()))
 
     def test_repeated_runs_identical(self):
         backend = EchoGoldBackend(ALL_SAMPLE_RECORDS)

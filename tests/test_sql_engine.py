@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from toolqa.errors import (
+    MalformedInput,
     NoRows,
     ParseError,
+    ToolqaError,
     TypeMismatch,
     UnknownColumn,
     UnsupportedStatement,
@@ -18,6 +20,7 @@ from toolqa.sql_engine import (
     parse_sql,
     run_script,
 )
+from toolqa.tabular import REAL, TEXT, Table, render_table
 
 from oracles import oracle_execute, random_query, random_table, render_query
 from sample_data import VENUE_SQL, VENUE_TABLE_TEXT, venue_table
@@ -216,6 +219,21 @@ class TestRunScript:
         out = run_script("SELECT AVG([Crowd]) FROM data_table", VENUE_TABLE_TEXT)
         assert out == "15000"
 
+    def test_table_object_accepted(self):
+        assert run_script(VENUE_SQL, venue_table()) == "5000"
+
+    def test_literal_past_digit_limit_is_tagged(self):
+        with pytest.raises(MalformedInput) as excinfo:
+            run_script("SELECT COUNT([a]) FROM data_table WHERE [a] > " + "1" * 5000,
+                       '{"header":["a"],"rows":[["1"]]}')
+        assert excinfo.value.stage == "execute"
+
+    def test_result_past_digit_limit_is_tagged(self):
+        table = Table(header=["a"], rows=[["9" * 4299]] * 20, col_types=[REAL])
+        with pytest.raises(MalformedInput) as excinfo:
+            run_script("SELECT SUM([a]) FROM data_table", table)
+        assert excinfo.value.stage == "execute"
+
 
 class TestOracleEquivalence:
     def _normalize(self, result: QueryResult):
@@ -240,6 +258,52 @@ class TestOracleEquivalence:
                 assert got == expected, (query, table.header, table.col_types)
                 checked += 1
         assert checked == 800
+
+    @staticmethod
+    def _big_table(rng):
+        while True:
+            table = random_table(rng, max_cols=8, max_rows=200)
+            if table.n_rows >= 100 and {REAL, TEXT} <= set(table.col_types):
+                return table
+
+    def test_one_table_answers_many_queries(self):
+        # One Table object, so every query after the first reads the
+        # numeric view cached on it.
+        rng = random.Random(2024)
+        table = self._big_table(rng)
+        answered = 0
+        for _ in range(250):
+            query = random_query(rng, table)
+            got = self._outcome(query, table)
+            assert got == oracle_execute(query, table), (query, table.header)
+            answered += got[0] == "ok"
+        assert "numeric_columns" in vars(table)
+        assert answered > 100
+
+    def test_table_and_text_forms_agree(self):
+        rng = random.Random(77)
+        table = self._big_table(rng)
+        text = render_table(table)
+        real = f"[{table.header[table.col_types.index(REAL)]}]"
+        plain = f"[{table.header[table.col_types.index(TEXT)]}]"
+        scripts = [render_query(random_query(rng, table)) for _ in range(100)] + [
+            "SELEKT x",
+            "DROP TABLE data_table",
+            "SELECT [Nope] FROM data_table",
+            f"SELECT {real} FROM data_table WHERE [Nope] = 1",
+            f"SELECT SUM({plain}) FROM data_table",
+            f"SELECT MAX({real}) FROM data_table WHERE {real} = 'no such cell'",
+            f"SELECT COUNT({real}) FROM data_table WHERE {real} > " + "1" * 5000,
+        ]
+        for script in scripts:
+            assert self._run(script, table) == self._run(script, text), script
+
+    @staticmethod
+    def _run(script, table):
+        try:
+            return ("ok", run_script(script, table))
+        except ToolqaError as exc:
+            return ("error", type(exc).__name__, exc.stage)
 
     def test_parser_round_trip_on_random_queries(self):
         rng = random.Random(321)

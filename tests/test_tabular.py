@@ -14,6 +14,7 @@ from toolqa.tabular import (
     infer_types,
     parse_table,
     render_table,
+    table_to_obj,
 )
 
 from sample_data import VENUE_TABLE_TEXT
@@ -107,6 +108,10 @@ class TestCoerceNumeric:
     def test_rejects(self, cell):
         assert coerce_numeric(cell) is None
 
+    def test_numeral_past_digit_limit_is_malformed(self):
+        with pytest.raises(MalformedInput):
+            coerce_numeric("1" * 5000)
+
     def test_idempotent_on_rendered_output(self):
         for cell in ("6,000", "(301)", "$0.74", "5,114.6", "-2.06", "0.12345678901234"):
             value = coerce_numeric(cell)
@@ -156,6 +161,25 @@ class TestProperties:
     @given(_tables())
     def test_round_trip(self, t):
         assert parse_table(render_table(t)) == t
+
+    @given(_tables())
+    def test_render_is_canonical_json(self, t):
+        assert render_table(t) == json.dumps(table_to_obj(t), ensure_ascii=False)
+
+    @given(_tables())
+    def test_numeric_columns_read_every_cell(self, t):
+        assert t.numeric_columns == tuple(
+            tuple(coerce_numeric(row[i]) for row in t.rows) for i in range(t.n_cols))
+
+    def test_cached_views_leave_equality_and_hash_alone(self):
+        t = parse_table(VENUE_TABLE_TEXT)
+        render_table(t)
+        t.numeric_columns
+        fresh = parse_table(VENUE_TABLE_TEXT)
+        assert {"serialized", "numeric_columns"} <= set(vars(t))
+        assert not {"serialized", "numeric_columns"} & set(vars(fresh))
+        assert t == fresh
+        assert hash(t) == hash(fresh)
 
     @given(_tables())
     def test_rendered_form_is_json_object(self, t):
